@@ -3,12 +3,17 @@
 // chased inserts; batches of 1,000 concurrent updates (20% deletes) run
 // through the serial optimistic Scheduler with a seeded RandomAgent, each
 // replayed from the rewound repository under COARSE and then PRECISE.
+// An update's latency runs from its batch's first Submit to its commit.
 // NAIVE is left out: at 3,000-update batches it fails updates on their
 // attempt cap, and this workload must run without failed operations.
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
+#include <thread>
 
 #include "ccontrol/scheduler.h"
 #include "obs/metrics.h"
@@ -81,6 +86,46 @@ std::unique_ptr<Repo> BuildRepo(uint64_t seed) {
   return repo;
 }
 
+// Stamps each commit of a running Scheduler with the time it happened.
+// RunToCompletion tells its caller nothing until the whole batch is done,
+// so a second thread polls the scheduler's registry, whose commit counter
+// the scheduler bumps as each update commits. The stamps are late by at
+// most one poll interval (about 0.1 ms, against runs of about 0.5 s).
+class CommitClock {
+ public:
+  explicit CommitClock(const obs::MetricsRegistry* registry)
+      : registry_(registry), thread_([this] { Poll(); }) {}
+  ~CommitClock() { Stop(); }
+
+  // Stops polling once the scheduler has returned; commits the last poll
+  // missed are stamped now. Returns every commit's time, in commit order.
+  const std::vector<Clock::time_point>& Stop() {
+    if (thread_.joinable()) {
+      stop_.store(true, std::memory_order_relaxed);
+      thread_.join();
+      Stamp(Clock::now());
+    }
+    return times_;
+  }
+
+ private:
+  void Poll() {
+    while (!stop_.load(std::memory_order_relaxed)) {
+      Stamp(Clock::now());
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  void Stamp(Clock::time_point now) {
+    const uint64_t commits = registry_->CounterValue(obs::Counter::kCommits);
+    while (times_.size() < commits) times_.push_back(now);
+  }
+
+  const obs::MetricsRegistry* registry_;
+  std::atomic<bool> stop_{false};
+  std::vector<Clock::time_point> times_;  // the poller's until it is joined
+  std::thread thread_;
+};
+
 // Counters of one tracker summed over a round's batches.
 struct TrackerCounts {
   uint64_t submitted = 0;
@@ -96,6 +141,36 @@ struct TrackerCounts {
   uint64_t doom_more_specific = 0;
   uint64_t doom_null_occurrence = 0;
   uint64_t doom_cascade = 0;
+
+  void Add(const Scheduler& scheduler, const obs::MetricsRegistry& registry) {
+    const SchedulerStats& st = scheduler.stats();
+    submitted += st.updates_submitted;
+    committed += st.updates_completed;
+    aborts += st.aborts;
+    cascading += st.cascading_abort_requests;
+    steps += st.total_steps;
+    writes += st.physical_writes;
+    frontier_ops += st.frontier_ops;
+    read_queries += st.read_queries;
+    rows_examined += scheduler.TotalRowsExamined();
+    const obs::MetricsSnapshot snap = registry.Snapshot();
+    doom_violation += snap.counter(obs::Counter::kDoomReadViolation);
+    doom_more_specific += snap.counter(obs::Counter::kDoomReadMoreSpecific);
+    doom_null_occurrence += snap.counter(obs::Counter::kDoomReadNullOccurrence);
+    doom_cascade += snap.counter(obs::Counter::kDoomCascade);
+  }
+
+  // The counters that must repeat exactly, by name.
+  ExactCounters Exact(const std::string& tracker) const {
+    return {{"committed." + tracker, committed},
+            {"aborts." + tracker, aborts},
+            {"cascading_requests." + tracker, cascading},
+            {"steps." + tracker, steps},
+            {"writes." + tracker, writes},
+            {"frontier_ops." + tracker, frontier_ops},
+            {"read_queries." + tracker, read_queries},
+            {"rows_examined." + tracker, rows_examined}};
+  }
 };
 
 }  // namespace
@@ -105,25 +180,119 @@ Outcome RunOptimisticBatch(const Options& options) {
   ZeroFillPerLayer(&out);
   std::vector<double> setup_s;
   std::unique_ptr<Repo> repo;
-  for (int i = 0; i < kSetups; ++i) {
+  auto build = [&] {
     repo.reset();
     const auto t0 = Clock::now();
     repo = BuildRepo(options.seed);
     setup_s.push_back(Seconds(t0, Clock::now()));
-  }
-  Database& db = repo->db;
+  };
+  for (int i = 0; i < kSetups; ++i) build();
 
-  // Per (batch, tracker) run: its latency in each round, and its commits.
-  std::vector<std::vector<double>> run_us(kBatchesPerRound * kTrackers.size());
-  std::vector<uint64_t> run_committed(run_us.size());
+  AgentTimes agent_times;
+  struct RunTimes {
+    double total_s;                 // first Submit to RunToCompletion's return
+    double run_s;                   // RunToCompletion's start to its return
+    std::vector<double> commit_us;  // first Submit to each commit
+  };
+  // Runs batch b under tracker t on the rewound repository and accounts
+  // its updates; `done` sees the finished scheduler, its registry and the
+  // run's times before the next run rewinds the repository.
+  auto run_batch = [&](size_t b, size_t t,
+                       const std::function<void(const Scheduler&,
+                                                const obs::MetricsRegistry&,
+                                                const RunTimes&)>& done) {
+    const std::vector<WriteOp>& ops = repo->batches[b];
+    repo->db.RemoveVersionsAbove(0);
+    // One simulated user per batch, identical under both trackers and on
+    // every seed: a user drawn from the seed as well made the slowest run,
+    // which sets update_p99_us, differ from seed to seed by up to half.
+    TimingAgent agent(std::make_unique<RandomAgent>(kRepositorySeed * 31 + b),
+                      &agent_times);
+    obs::MetricsRegistry registry;
+    SchedulerOptions so;
+    so.tracker = kTrackers[t];
+    so.max_steps_per_update = kMaxStepsPerUpdate;
+    so.max_attempts_per_update = kMaxAttempts;
+    so.metrics = &registry;
+    Scheduler scheduler(&repo->db, &repo->tgds, &agent, so);
+    CommitClock commit_clock(&registry);
+    out.threads_max = std::max(out.threads_max, ThreadCount());
+    const auto submitted_at = Clock::now();
+    for (size_t k = 0; k < ops.size(); ++k) {
+      ScopedSpan span("Scheduler.Submit", "ccontrol", k);
+      scheduler.Submit(ops[k]);
+    }
+    const auto t0 = Clock::now();
+    {
+      ScopedSpan span("Scheduler.RunToCompletion", "ccontrol");
+      scheduler.RunToCompletion();
+    }
+    const auto t1 = Clock::now();
+    RunTimes times{Seconds(submitted_at, t1), Seconds(t0, t1), {}};
+    for (const Clock::time_point& c : commit_clock.Stop()) {
+      times.commit_us.push_back(Micros(submitted_at, c));
+    }
+    const SchedulerStats& st = scheduler.stats();
+    out.attempted += ops.size();
+    out.failed += st.updates_failed;
+    if (st.updates_submitted != ops.size() ||
+        st.updates_completed + st.updates_failed != ops.size()) {
+      out.Fail("optimistic-batch: submitted " + std::to_string(ops.size()) +
+               " updates, scheduler accounts " +
+               std::to_string(st.updates_completed) + " committed + " +
+               std::to_string(st.updates_failed) + " failed");
+    }
+    done(scheduler, registry, times);
+  };
+
+  // Per (batch, tracker) run and per commit in it: the commit's latency in
+  // each round.
+  std::vector<std::vector<std::vector<double>>> commit_us(
+      kBatchesPerRound * kTrackers.size());
   std::vector<double> query_us;
   std::vector<double> commit_rates;  // per round
   std::array<TrackerCounts, 2> first{};  // round 0, exact
   // Timings of traced rounds (per-layer).
-  AgentTimes agent_times;
   std::array<std::vector<double>, 2> traced_run_s;
   uint64_t traced_steps = 0;
   double traced_run_ns = 0;
+
+  // Replays round 0 on a fresh repository with the output checks after
+  // every run. The checks come after round 0, so that its peak RSS is the
+  // program's alone; the replay must repeat round 0's exact counters.
+  auto check_round = [&] {
+    build();
+    std::array<TrackerCounts, 2> checked{};
+    for (size_t b = 0; b < repo->batches.size(); ++b) {
+      for (size_t t = 0; t < kTrackers.size(); ++t) {
+        run_batch(b, t, [&](const Scheduler& scheduler,
+                            const obs::MetricsRegistry& registry,
+                            const RunTimes&) {
+          checked[t].Add(scheduler, registry);
+          const std::string where = std::string("optimistic-batch batch ") +
+                                    std::to_string(b) + " " + kTrackerNames[t];
+          if (scheduler.stats().updates_failed == 0 &&
+              !SameOpMultiset(scheduler.CommittedOpsInOrder(),
+                              repo->batches[b])) {
+            out.Fail(where + ": committed ops are not the submitted batch");
+          }
+          const uint64_t digest =
+              CheckState(&repo->db, repo->maps, repo->queries, &out, where);
+          out.exact.emplace_back("answers_digest." + std::to_string(b) + "." +
+                                     kTrackerNames[t],
+                                 digest);
+          if (b == 0 && t == 0) ReportStorageShape(repo->db, &out);
+        });
+      }
+    }
+    for (size_t t = 0; t < kTrackers.size(); ++t) {
+      if (checked[t].Exact(kTrackerNames[t]) != first[t].Exact(kTrackerNames[t])) {
+        out.Fail(std::string("optimistic-batch: the checked replay of round 0 "
+                             "under ") + kTrackerNames[t] +
+                 " did other work than round 0");
+      }
+    }
+  };
 
   auto round = [&](size_t r) -> double {
     double round_s = 0;
@@ -131,102 +300,43 @@ Outcome RunOptimisticBatch(const Options& options) {
     uint64_t committed = 0;
     const bool traced = SpanRecorder::Global().enabled();
     for (size_t b = 0; b < repo->batches.size(); ++b) {
-      const std::vector<WriteOp>& ops = repo->batches[b];
       for (size_t t = 0; t < kTrackers.size(); ++t) {
-        db.RemoveVersionsAbove(0);
-        // One simulated user per batch, identical under both trackers.
-        TimingAgent agent(
-            std::make_unique<RandomAgent>(options.seed * 31 + b), &agent_times);
-        obs::MetricsRegistry registry;
-        SchedulerOptions so;
-        so.tracker = kTrackers[t];
-        so.max_steps_per_update = kMaxStepsPerUpdate;
-        so.max_attempts_per_update = kMaxAttempts;
-        so.metrics = &registry;
-        Scheduler scheduler(&db, &repo->tgds, &agent, so);
-        const auto submitted_at = Clock::now();
-        for (size_t k = 0; k < ops.size(); ++k) {
-          ScopedSpan span("Scheduler.Submit", "ccontrol", k);
-          scheduler.Submit(ops[k]);
-        }
-        const auto t0 = Clock::now();
-        {
-          ScopedSpan span("Scheduler.RunToCompletion", "ccontrol");
-          scheduler.RunToCompletion();
-        }
-        const auto t1 = Clock::now();
-        const SchedulerStats& st = scheduler.stats();
-        out.attempted += ops.size();
-        out.failed += st.updates_failed;
-        if (st.updates_submitted != ops.size() ||
-            st.updates_completed + st.updates_failed != ops.size()) {
-          out.Fail("optimistic-batch: submitted " + std::to_string(ops.size()) +
-                   " updates, scheduler accounts " +
-                   std::to_string(st.updates_completed) + " committed + " +
-                   std::to_string(st.updates_failed) + " failed");
-        }
-        committed += st.updates_completed;
-        run_seconds += Seconds(t0, t1);
-        round_s += Seconds(submitted_at, t1);
-        // The scheduler reports completion only when RunToCompletion
-        // returns: that is when the submitting client learns each update
-        // of the batch committed.
-        run_us[b * kTrackers.size() + t].push_back(Micros(submitted_at, t1));
-        run_committed[b * kTrackers.size() + t] = st.updates_completed;
-        if (traced) {
-          traced_run_s[t].push_back(Seconds(t0, t1));
-          traced_steps += st.total_steps;
-          traced_run_ns += Seconds(t0, t1) * 1e9;
-        }
-
+        run_batch(b, t, [&](const Scheduler& scheduler,
+                            const obs::MetricsRegistry& registry,
+                            const RunTimes& times) {
+          const SchedulerStats& st = scheduler.stats();
+          committed += st.updates_completed;
+          run_seconds += times.run_s;
+          round_s += times.total_s;
+          std::vector<std::vector<double>>& run = commit_us[b * kTrackers.size() + t];
+          run.resize(times.commit_us.size());
+          for (size_t k = 0; k < run.size(); ++k) run[k].push_back(times.commit_us[k]);
+          if (traced) {
+            traced_run_s[t].push_back(times.run_s);
+            traced_steps += st.total_steps;
+            traced_run_ns += times.run_s * 1e9;
+          }
+          if (r == 0) first[t].Add(scheduler, registry);
+        });
         for (const PremiseQuery& q : repo->queries) {
           const auto q0 = Clock::now();
           {
             ScopedSpan span("QueryEngine.Evaluate", "query");
-            ProgramAnswers(&db, q);
+            ProgramAnswers(&repo->db, q);
           }
           query_us.push_back(Micros(q0, Clock::now()));
           ++out.attempted;
         }
-
-        if (r == 0) {
-          if (out.peak_rss_mb == 0) out.peak_rss_mb = PeakRssMb();
-          TrackerCounts& c = first[t];
-          c.submitted += st.updates_submitted;
-          c.committed += st.updates_completed;
-          c.aborts += st.aborts;
-          c.cascading += st.cascading_abort_requests;
-          c.steps += st.total_steps;
-          c.writes += st.physical_writes;
-          c.frontier_ops += st.frontier_ops;
-          c.read_queries += st.read_queries;
-          c.rows_examined += scheduler.TotalRowsExamined();
-          const obs::MetricsSnapshot snap = registry.Snapshot();
-          c.doom_violation += snap.counter(obs::Counter::kDoomReadViolation);
-          c.doom_more_specific +=
-              snap.counter(obs::Counter::kDoomReadMoreSpecific);
-          c.doom_null_occurrence +=
-              snap.counter(obs::Counter::kDoomReadNullOccurrence);
-          c.doom_cascade += snap.counter(obs::Counter::kDoomCascade);
-          const std::string where = std::string("optimistic-batch batch ") +
-                                    std::to_string(b) + " " + kTrackerNames[t];
-          if (st.updates_failed == 0 &&
-              !SameOpMultiset(scheduler.CommittedOpsInOrder(), ops)) {
-            out.Fail(where + ": committed ops are not the submitted batch");
-          }
-          const uint64_t digest =
-              CheckState(&db, repo->maps, repo->queries, &out, where);
-          out.exact.emplace_back("answers_digest." + std::to_string(b) + "." +
-                                     kTrackerNames[t],
-                                 digest);
-          if (b == 0 && t == 0) ReportStorageShape(db, &out);
-        }
       }
     }
     commit_rates.push_back(committed / run_seconds);
+    if (r == 0) {
+      out.peak_rss_mb = PeakRssMb();
+      check_round();
+    }
     return round_s;
   };
-  DriveRounds(options, round,
+  DriveRounds(options, build, round,
               [&] { return TailResolved(kBatchesPerRound * kBatchSize, 0.99) &&
                            TailResolved(query_us.size(), 0.99); },
               &out);
@@ -234,15 +344,7 @@ Outcome RunOptimisticBatch(const Options& options) {
   for (size_t t = 0; t < kTrackers.size(); ++t) {
     const TrackerCounts& c = first[t];
     const std::string name = kTrackerNames[t];
-    for (const auto& [key, value] :
-         std::vector<std::pair<std::string, uint64_t>>{
-             {"committed", c.committed}, {"aborts", c.aborts},
-             {"cascading_requests", c.cascading}, {"steps", c.steps},
-             {"writes", c.writes}, {"frontier_ops", c.frontier_ops},
-             {"read_queries", c.read_queries},
-             {"rows_examined", c.rows_examined}}) {
-      out.exact.emplace_back(key + "." + name, value);
-    }
+    for (const auto& counter : c.Exact(name)) out.exact.push_back(counter);
     const double executions = static_cast<double>(c.submitted + c.aborts);
     out.per_layer.Set("ccontrol.aborts." + name, c.aborts, "count");
     out.per_layer.Set("ccontrol.cascading_requests." + name, c.cascading,
@@ -289,16 +391,17 @@ Outcome RunOptimisticBatch(const Options& options) {
     out.per_layer.Set("core.agent_us",
                       agent_times.ns / 1e3 / agent_times.decisions, "us");
   }
-  ReportLayerProbes(&db, repo->queries, options.seed, &out);
+  ReportLayerProbes(&repo->db, repo->queries, options.seed, &out);
   if (options.trace) FinishTrace(options, &out);
 
   out.end_to_end.Set("setup_s", Median(setup_s), "s");
   out.end_to_end.Set("commit_per_s", Median(commit_rates), "updates/s");
-  // Every round replays the same runs, so each update's latency is its
-  // run's median over the rounds; one slow repetition does not move it.
+  // Every round replays the same runs on a fresh repository, so the k-th
+  // commit of a run has the same place in every round; its latency is its
+  // median over the rounds, and one slow repetition does not move it.
   std::vector<double> update_us;
-  for (size_t i = 0; i < run_us.size(); ++i) {
-    update_us.insert(update_us.end(), run_committed[i], Median(run_us[i]));
+  for (const std::vector<std::vector<double>>& run : commit_us) {
+    for (const std::vector<double>& rounds : run) update_us.push_back(Median(rounds));
   }
   out.end_to_end.Set("update_p50_us", Percentile(update_us, 0.50), "us");
   out.end_to_end.Set("update_p99_us", Percentile(update_us, 0.99), "us");
@@ -306,7 +409,6 @@ Outcome RunOptimisticBatch(const Options& options) {
   out.end_to_end.Set("query_p99_us", Percentile(query_us, 0.99), "us");
   out.end_to_end.Set("peak_rss_mb", out.peak_rss_mb, "MB");
   out.workers = 1;
-  out.threads_max = ThreadCount();
   return out;
 }
 

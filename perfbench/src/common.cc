@@ -233,12 +233,12 @@ void ReportLayerProbes(Database* db, const std::vector<PremiseQuery>& queries,
   out->per_layer.Set("query.eval_us", Mean(eval_us), "us");
 }
 
-void DriveRounds(const Options& options,
+void DriveRounds(const Options& options, const std::function<void()>& rebuild,
                  const std::function<double(size_t)>& round,
                  const std::function<bool()>& enough, Outcome* out) {
   // Round 0 is followed by the output checks, so the window opens after it;
   // its samples count like any other round's.
-  std::vector<double> untraced = {round(0)};
+  round(0);
   size_t i = 1;
   const auto start = Clock::now();
   if (!options.trace) {
@@ -247,19 +247,24 @@ void DriveRounds(const Options& options,
         out->Fail("too few samples for a resolved p99 within the round cap");
         break;
       }
+      rebuild();
       round(i++);
     }
     out->rounds = i;
     return;
   }
-  const double half = options.seconds / 2;
-  while (Seconds(start, Clock::now()) < half) {
-    untraced.push_back(round(i++));
-  }
-  SpanRecorder::Global().BeginTracedSection();
-  const auto traced_start = Clock::now();
+  // Untraced and traced rounds alternate, so that both see the machine in
+  // the same state; the window closes on a traced round.
+  SpanRecorder& rec = SpanRecorder::Global();
+  rec.BeginTracedSection();
+  std::vector<double> untraced;
   std::vector<double> traced;
-  while (traced.empty() || Seconds(traced_start, Clock::now()) < half) {
+  while (traced.empty() || Seconds(start, Clock::now()) < options.seconds) {
+    rec.SetTracing(false);
+    rebuild();
+    untraced.push_back(round(i++));
+    rebuild();
+    rec.SetTracing(true);
     traced.push_back(round(i++));
   }
   out->rounds = i;

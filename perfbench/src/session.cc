@@ -1,11 +1,23 @@
 // interactive-session: one user on the Youtopia facade, over a Fig. 4-shaped
 // repository (100 relations, 100 mappings with existentials) whose mappings
 // are registered as text through AddMapping and whose data comes from
-// facade inserts. A closed loop alternates a synchronous update (Insert,
-// Delete, or ReplaceNull of a null the user named) with a certain-answer
-// Query whose body is a mapping premise. Each round replays the script from
-// the rewound repository, issuing every premise query kQueryPasses times in
-// the order the seed draws; the seed also drives the simulated user.
+// 10,000 facade inserts drawn as the Fig. 4 seeding draws them. A closed
+// loop alternates a synchronous update (Insert, Delete, or ReplaceNull of a
+// null the user named) with a certain-answer Query whose body is a mapping
+// premise. Each round replays the script on a freshly built session,
+// issuing every premise query kQueryPasses times in the order the seed
+// draws; the seed also drives the simulated user.
+//
+// The script follows the Fig. 4 workload generator (GenerateWorkload):
+// an exact 20% of the updates are deletes, in shuffled order, of a uniform
+// relation's uniform visible tuple (null-free here: the facade names only
+// nulls the user named); the rest insert into a uniform relation, each
+// value a fresh one with probability WorkloadOptions::p_fresh_value (0.5)
+// and a pool constant otherwise. Null replacement has no such source: the
+// paper's experiments issue none. Here a fresh insert value is a newly
+// named null with probability kNamedNullShare, and each named null is
+// replaced, first named first, by the next update that is not a delete,
+// with a value drawn as an insert value is.
 //
 // The only workload with reads beside writes, and the only one whose
 // per-operation latency is visible from outside: it exercises tgd parsing,
@@ -13,6 +25,7 @@
 // pipeline sit idle.
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 
 #include "core/youtopia.h"
@@ -30,11 +43,11 @@ constexpr size_t kRelations = 100;
 constexpr size_t kConstants = 50;
 constexpr size_t kMappings = 100;
 constexpr size_t kSeedInserts = 10000;
-constexpr double kInsertShare = 0.6;
-constexpr double kDeleteShare = 0.2;    // the rest replace named nulls
-constexpr double kNamedNullShare = 0.1;  // per inserted value
-constexpr double kPoolShare = 0.45;      // per inserted value
-constexpr int kDeleteTries = 20;
+constexpr double kDeleteShare = 0.2;  // Fig. 4's, as in optimistic-batch
+// Share of fresh insert values given as named nulls; chosen here, with no
+// source (about one inserted value in ten, and one update in five a
+// ReplaceNull).
+constexpr double kNamedNullShare = 0.2;
 // Each round issues every premise query this many times, in seeded order,
 // with one scripted update before each.
 constexpr size_t kQueryPasses = 3;
@@ -43,11 +56,8 @@ struct Session {
   Database generated;  // the generator's copy of schema and mappings
   std::vector<std::string> pool;
   std::unique_ptr<Youtopia> yt;
-  uint64_t base_number = 0;  // last update of the set-up
   std::vector<OMapping> maps;
   std::vector<PremiseQuery> queries;
-  // Null-free seeded tuples the script may delete, as facade values.
-  std::vector<std::pair<std::string, std::vector<std::string>>> deletable;
   double add_mapping_ms = 0;  // mean per AddMapping call
 };
 
@@ -73,30 +83,24 @@ std::unique_ptr<Session> BuildSession() {
   for (RelationId r = 0; r < catalog.size(); ++r) {
     CHECK(yt.CreateRelation(catalog.schema(r).name, catalog.schema(r).attributes).ok());
   }
-  double mapping_ms = 0;
+  const auto mappings0 = Clock::now();
   for (const Tgd& tgd : tgds) {
-    const std::string text = tgd.ToString(catalog, s->generated.symbols());
-    const auto t0 = Clock::now();
-    {
-      ScopedSpan span("Youtopia.AddMapping", "tgd");
-      CHECK(yt.AddMapping(text).ok());
-    }
-    mapping_ms += Micros(t0, Clock::now()) / 1e3;
+    CHECK(yt.AddMapping(tgd.ToString(catalog, s->generated.symbols())).ok());
   }
-  s->add_mapping_ms = mapping_ms / static_cast<double>(tgds.size());
+  s->add_mapping_ms = Micros(mappings0, Clock::now()) / 1e3 /
+                      static_cast<double>(tgds.size());
 
-  Rng seed_rng(kRepositorySeed + 17);
+  // The Fig. 4 seeding (GenerateInitialData): a uniform relation, each
+  // value a uniform pool constant.
   for (size_t i = 0; i < kSeedInserts; ++i) {
-    const RelationId rel = static_cast<RelationId>(seed_rng.Uniform(catalog.size()));
+    const RelationId rel = static_cast<RelationId>(rng.Uniform(catalog.size()));
     std::vector<std::string> values;
     for (size_t j = 0; j < catalog.schema(rel).arity(); ++j) {
-      values.push_back(seed_rng.Chance(0.5)
-                           ? s->pool[seed_rng.Uniform(s->pool.size())]
-                           : "s" + std::to_string(i) + "_" + std::to_string(j));
+      values.push_back(s->pool[rng.Uniform(s->pool.size())]);
     }
-    CHECK(yt.Insert(catalog.schema(rel).name, values).ok());
+    Result<UpdateReport> report = yt.Insert(catalog.schema(rel).name, values);
+    CHECK(report.ok() && report->completed);
   }
-  s->base_number = yt.next_update_number() - 1;
 
   Database& db = yt.db();
   for (const Tgd& tgd : tgds) {
@@ -104,15 +108,6 @@ std::unique_ptr<Session> BuildSession() {
                                        &db.symbols()));
   }
   s->queries = PremiseQueries(tgds, catalog, s->generated.symbols(), &db.symbols());
-  Snapshot snap(&db, kReadLatest);
-  for (RelationId r = 0; r < db.num_relations(); ++r) {
-    snap.ForEachVisible(r, [&](RowId, const TupleData& t) {
-      if (ContainsAnyNull(t)) return;
-      std::vector<std::string> values;
-      for (const Value& v : t) values.emplace_back(db.symbols().Text(v));
-      s->deletable.emplace_back(catalog.schema(r).name, std::move(values));
-    });
-  }
   return s;
 }
 
@@ -124,16 +119,15 @@ Outcome RunInteractiveSession(const Options& options) {
   std::vector<double> setup_s;
   std::vector<double> add_mapping_ms;
   std::unique_ptr<Session> session;
-  for (int i = 0; i < kSetups; ++i) {
+  auto build = [&] {
     session.reset();
     const auto t0 = Clock::now();
     session = BuildSession();
     setup_s.push_back(Seconds(t0, Clock::now()));
     add_mapping_ms.push_back(session->add_mapping_ms);
-  }
-  Youtopia& yt = *session->yt;
-  Database& db = yt.db();
-  const Catalog& catalog = db.catalog();
+  };
+  for (int i = 0; i < kSetups; ++i) build();
+  const double p_fresh = WorkloadOptions().p_fresh_value;
 
   std::vector<double> update_us;
   std::vector<double> query_us;
@@ -144,15 +138,28 @@ Outcome RunInteractiveSession(const Options& options) {
 
   auto round = [&](size_t r) -> double {
     const bool traced = SpanRecorder::Global().enabled();
-    db.RemoveVersionsAbove(session->base_number);
+    Youtopia& yt = *session->yt;
+    Database& db = yt.db();
+    const Catalog& catalog = db.catalog();
+    const std::vector<std::string>& pool = session->pool;
     yt.SetAgent(std::make_unique<TimingAgent>(
         std::make_unique<RandomAgent>(options.seed), &agent_times));
     Rng rng(kRepositorySeed * 0x9e3779b97f4a7c15ull + 5);
     std::vector<size_t> query_order(kQueryPasses * session->queries.size());
     for (size_t i = 0; i < query_order.size(); ++i) query_order[i] = i % session->queries.size();
     SeededShuffle(&query_order, options.seed * 1000003 + 5);
-    std::vector<std::string> named;  // nulls named and not yet replaced
+    std::vector<char> is_delete(query_order.size(), 0);
+    const size_t deletes = static_cast<size_t>(
+        static_cast<double>(is_delete.size()) * kDeleteShare);
+    std::fill(is_delete.begin(), is_delete.begin() + deletes, 1);
+    SeededShuffle(&is_delete, kRepositorySeed + 23);
+    std::deque<std::string> named;  // nulls named and not yet replaced
     size_t fresh = 0;
+    // An insert value, or the constant replacing a null.
+    auto draw_value = [&] {
+      return rng.Chance(p_fresh) ? "f" + std::to_string(fresh++)
+                                 : pool[rng.Uniform(pool.size())];
+    };
     uint64_t steps = 0;
     uint64_t frontier_ops = 0;
     uint64_t round_committed = 0;
@@ -165,53 +172,47 @@ Outcome RunInteractiveSession(const Options& options) {
     const auto round0 = Clock::now();
 
     for (size_t step = 0; step < query_order.size(); ++step) {
-      // The script's next update; deletes and replacements fall back to an
-      // insert when nothing is left to delete or replace.
-      const double kind = rng.UniformDouble();
       std::string relation;
       std::vector<std::string> values;
       std::string null_name;
-      bool is_delete = false;
-      if (kind >= kInsertShare && kind < kInsertShare + kDeleteShare) {
-        for (int t = 0; t < kDeleteTries && !is_delete; ++t) {
-          const auto& cand = session->deletable[rng.Uniform(session->deletable.size())];
-          const RelationId rel = *catalog.Find(cand.first);
-          TupleData data;
-          for (const std::string& v : cand.second) data.push_back(db.symbols().Intern(v));
-          if (db.FindRowWithData(rel, data, kReadLatest).has_value()) {
-            relation = cand.first;
-            values = cand.second;
-            is_delete = true;
+      std::string constant;
+      if (is_delete[step]) {
+        Snapshot snap(&db, kReadLatest);
+        for (int attempt = 0; attempt < 1000 && values.empty(); ++attempt) {
+          const RelationId rel = static_cast<RelationId>(rng.Uniform(catalog.size()));
+          std::vector<TupleData> candidates;
+          snap.ForEachVisible(rel, [&](RowId, const TupleData& t) {
+            if (!ContainsAnyNull(t)) candidates.push_back(t);
+          });
+          if (candidates.empty()) continue;
+          relation = catalog.schema(rel).name;
+          for (const Value& v : candidates[rng.Uniform(candidates.size())]) {
+            values.emplace_back(db.symbols().Text(v));
           }
         }
-      } else if (kind >= kInsertShare + kDeleteShare && !named.empty()) {
-        const size_t i = rng.Uniform(named.size());
-        null_name = named[i];
-        named[i] = named.back();
-        named.pop_back();
-      }
-      if (!is_delete && null_name.empty()) {
+        CHECK(!values.empty());
+      } else if (!named.empty()) {
+        null_name = named.front();
+        named.pop_front();
+        constant = draw_value();
+      } else {
         const RelationId rel = static_cast<RelationId>(rng.Uniform(catalog.size()));
         relation = catalog.schema(rel).name;
         for (size_t j = 0; j < catalog.schema(rel).arity(); ++j) {
-          const double v = rng.UniformDouble();
-          if (v < kNamedNullShare) {
-            named.push_back("?r" + std::to_string(r) + "_" + std::to_string(fresh++));
+          if (rng.Chance(p_fresh) && rng.Chance(kNamedNullShare)) {
+            named.push_back("?n" + std::to_string(fresh++));
             values.push_back(named.back());
-          } else if (v < kNamedNullShare + kPoolShare) {
-            values.push_back(session->pool[rng.Uniform(session->pool.size())]);
           } else {
-            values.push_back("u" + std::to_string(fresh++));
+            values.push_back(draw_value());
           }
         }
       }
-      const std::string constant = session->pool[rng.Uniform(session->pool.size())];
 
       Result<UpdateReport> report = Status::Internal("not run");
       auto t0 = Clock::now();
       {
         ScopedSpan span("Youtopia.Update", "core", step);
-        if (is_delete) {
+        if (is_delete[step]) {
           report = yt.Delete(relation, values);
         } else if (!null_name.empty()) {
           report = yt.ReplaceNull(null_name, constant);
@@ -280,7 +281,7 @@ Outcome RunInteractiveSession(const Options& options) {
     }
     return round_s;
   };
-  DriveRounds(options, round,
+  DriveRounds(options, build, round,
               [&] { return TailResolved(update_us.size(), 0.99) &&
                            TailResolved(query_us.size(), 0.99); },
               &out);
@@ -292,7 +293,7 @@ Outcome RunInteractiveSession(const Options& options) {
   if (agent_times.decisions > 0) {
     out.per_layer.Set("core.agent_us", agent_times.ns / 1e3 / agent_times.decisions, "us");
   }
-  ReportLayerProbes(&db, session->queries, options.seed, &out);
+  ReportLayerProbes(&session->yt->db(), session->queries, options.seed, &out);
   if (options.trace) FinishTrace(options, &out);
 
   out.end_to_end.Set("setup_s", Median(setup_s), "s");

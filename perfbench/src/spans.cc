@@ -75,10 +75,12 @@ void SpanRecorder::BeginTracedSection() {
   SetEnabled(true);
 }
 
-void SpanRecorder::EndTracedSection() {
-  SetEnabled(false);
-  youtopia::obs::Tracer::Global().SetEnabled(false);
+void SpanRecorder::SetTracing(bool on) {
+  youtopia::obs::Tracer::Global().SetEnabled(on);
+  SetEnabled(on);
 }
+
+void SpanRecorder::EndTracedSection() { SetTracing(false); }
 
 std::string SpanRecorder::WriteChromeTrace(const std::string& path) const {
   const std::string program_path = path + ".program.tmp";

@@ -5,7 +5,7 @@
 // makes into a layer of the program (facade calls, Scheduler Submit and
 // RunToCompletion, IngestPipeline Submit and Flush, agent callbacks, the
 // post-run layer probes). Spans are kept in memory while the traced rounds
-// run and written out, together with the program's own obs::Tracer spans,
+// run (they alternate with untraced ones) and written out, together with the program's own obs::Tracer spans,
 // as one Chrome trace-event JSON file when the run ends.
 //
 // Each span has a name, a layer, start and end, the span that was open on
@@ -49,6 +49,9 @@ class SpanRecorder {
   // Clears and starts the program's tracer alongside this recorder; the
   // moment of the call is the zero of both timelines in the written file.
   void BeginTracedSection();
+  // Pauses or resumes both recorders inside a traced section; what they
+  // hold is kept.
+  void SetTracing(bool on);
   void EndTracedSection();
 
   // Writes this recorder's spans and the program's tracer dump as one

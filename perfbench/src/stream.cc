@@ -3,14 +3,15 @@
 // tuples. One producer feeds a standing IngestPipeline (continuous
 // admission, sub_workers = 1, two shard workers with a MinContentAgent
 // each) closed-loop with inserts and deletes: every Submit blocks while the
-// target inbox is full. Each round replays the seeded stream from the
-// rewound repository and ends at Flush.
+// target inbox is full. Each round replays the seeded stream on a freshly
+// built repository and pipeline, and ends at Flush.
 //
 // Pinned ops run without concurrency control, so the cost falls on the
 // parallel layer (routing, inboxes, backpressure) and on relational probes
 // that grow with the data; ccontrol counters must stay zero.
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <thread>
 
@@ -42,8 +43,7 @@ struct Repo {
   std::vector<WriteOp> ops;
   std::vector<OMapping> maps;
   std::vector<PremiseQuery> queries;
-  std::deque<AgentTimes> agent_times;  // one per pipeline agent
-  obs::MetricsRegistry registry;       // outlives the pipeline
+  obs::MetricsRegistry registry;  // outlives the pipeline
   std::unique_ptr<IngestPipeline> pipeline;
 };
 
@@ -53,7 +53,10 @@ size_t Workers() {
   return std::thread::hardware_concurrency() >= 4 ? 2 : 1;
 }
 
-std::unique_ptr<Repo> BuildRepo(uint64_t seed) {
+// Builds the repository and its standing pipeline; the pipeline's agents
+// add their decision times to fresh entries of `agent_times`.
+std::unique_ptr<Repo> BuildRepo(uint64_t seed,
+                                std::deque<AgentTimes>* agent_times) {
   auto repo = std::make_unique<Repo>();
   Rng rng(kRepositorySeed);
   SchemaGenOptions schema;
@@ -96,11 +99,10 @@ std::unique_ptr<Repo> BuildRepo(uint64_t seed) {
   popts.cross_admission = CrossAdmission::kContinuous;
   popts.inbox_capacity = kInboxCapacity;
   popts.metrics = &repo->registry;
-  Repo* r = repo.get();
-  popts.agent_factory = [r](size_t) -> std::unique_ptr<FrontierAgent> {
-    r->agent_times.emplace_back();
+  popts.agent_factory = [agent_times](size_t) -> std::unique_ptr<FrontierAgent> {
+    agent_times->emplace_back();
     return std::make_unique<TimingAgent>(std::make_unique<MinContentAgent>(),
-                                         &r->agent_times.back());
+                                         &agent_times->back());
   };
   repo->pipeline = std::make_unique<IngestPipeline>(&repo->db, &repo->tgds, popts);
   return repo;
@@ -112,23 +114,24 @@ Outcome RunShardedStream(const Options& options) {
   Outcome out;
   ZeroFillPerLayer(&out);
   std::vector<double> setup_s;
+  std::deque<AgentTimes> agent_times;  // one per pipeline agent
   std::unique_ptr<Repo> repo;
-  for (int i = 0; i < kSetups; ++i) {
+  auto build = [&] {
+    // The old pipeline's threads end before the new one's start.
+    if (repo != nullptr) repo->pipeline->Stop();
     repo.reset();
     const auto t0 = Clock::now();
-    repo = BuildRepo(options.seed);
+    repo = BuildRepo(options.seed, &agent_times);
     setup_s.push_back(Seconds(t0, Clock::now()));
-  }
-  Database& db = repo->db;
-  IngestPipeline& pipeline = *repo->pipeline;
-  const std::vector<WriteOp>& ops = repo->ops;
+  };
+  for (int i = 0; i < kSetups; ++i) build();
+  const size_t num_ops = repo->ops.size();  // the same in every build
   const unsigned hardware = std::thread::hardware_concurrency();
   out.workers = Workers();
 
-  std::vector<std::vector<double>> op_us(ops.size());  // per op, per round
+  std::vector<std::vector<double>> op_us(num_ops);  // per op, per round
   std::vector<double> query_us;
   std::vector<double> commit_rates;  // per round
-  ParallelStats last = pipeline.Flush();
   // Per-layer timings, from traced rounds.
   std::vector<double> submit_us;
   std::vector<double> flush_ms;
@@ -142,8 +145,10 @@ Outcome RunShardedStream(const Options& options) {
 
   auto round = [&](size_t r) -> double {
     const bool traced = SpanRecorder::Global().enabled();
-    db.RemoveVersionsAbove(0);
-    if (traced) repo->registry.Reset();
+    Database& db = repo->db;
+    IngestPipeline& pipeline = *repo->pipeline;
+    const std::vector<WriteOp>& ops = repo->ops;
+    const ParallelStats last = pipeline.Flush();  // the round's baseline
     std::vector<uint64_t> submitted_ns(ops.size());
     const auto t0 = Clock::now();
     for (size_t k = 0; k < ops.size(); ++k) {
@@ -265,11 +270,10 @@ Outcome RunShardedStream(const Options& options) {
       out.exact.emplace_back("state_digest", Fnv1a(streamed));
       out.exact.emplace_back("answers_digest", digest);
     }
-    last = stats;
     return Seconds(t0, t1);
   };
-  DriveRounds(options, round,
-              [&] { return TailResolved(ops.size(), 0.99) &&
+  DriveRounds(options, build, round,
+              [&] { return TailResolved(num_ops, 0.99) &&
                            TailResolved(query_us.size(), 0.99); },
               &out);
 
@@ -297,19 +301,19 @@ Outcome RunShardedStream(const Options& options) {
   }
   uint64_t decisions = 0;
   uint64_t decision_ns = 0;
-  for (const AgentTimes& a : repo->agent_times) {
+  for (const AgentTimes& a : agent_times) {
     decisions += a.decisions;
     decision_ns += a.ns;
   }
   if (decisions > 0) out.per_layer.Set("core.agent_us", decision_ns / 1e3 / decisions, "us");
-  ReportLayerProbes(&db, repo->queries, options.seed, &out);
+  ReportLayerProbes(&repo->db, repo->queries, options.seed, &out);
   if (options.trace) FinishTrace(options, &out);
   repo->pipeline->Stop();
 
   out.end_to_end.Set("setup_s", Median(setup_s), "s");
   out.end_to_end.Set("commit_per_s", Median(commit_rates), "updates/s");
-  // Every round replays the same stream, so each op's latency is its median
-  // over the rounds; one slow round does not move it.
+  // Every round replays the same stream on a fresh repository, so each op's
+  // latency is its median over the rounds; one slow round does not move it.
   std::vector<double> update_us;
   for (const std::vector<double>& rounds : op_us) update_us.push_back(Median(rounds));
   out.end_to_end.Set("update_p50_us", Percentile(update_us, 0.50), "us");

@@ -31,7 +31,8 @@ struct Options {
 // Every workload's repository (schema, mappings, seeded data) and the
 // content of its traffic (batches, stream, session script) come from this
 // fixed generator seed; --seed draws the order in which the traffic is
-// issued and the simulated users' choices. Random traffic has heavy-tailed
+// issued and, on interactive-session, the simulated user's choices (the
+// batches' users are fixed; see batch.cc). Random traffic has heavy-tailed
 // chase costs (one insert can derive thousands of tuples), so traffic drawn
 // afresh per seed would make a figure's spread over seeds the spread of the
 // inputs rather than of the program.
@@ -52,7 +53,8 @@ void SeededShuffle(std::vector<T>* v, uint64_t seed) {
 // instance, stay those of the generated order; moving a delete across
 // inserts can change the final instance by tens of thousands of tuples.
 void ShuffleInsertRuns(std::vector<youtopia::WriteOp>* ops, uint64_t seed);
-// Set-ups per run; setup_s is their median.
+// Set-ups before round 0; setup_s is the median of these and of the
+// rebuilds before later rounds.
 inline constexpr int kSetups = 3;
 
 Outcome RunOptimisticBatch(const Options& options);
@@ -123,15 +125,16 @@ void ReportLayerProbes(youtopia::Database* db,
                        Outcome* out);
 
 // Runs round(i) for i = 0, 1, ... (each returns its measured wall
-// seconds): round 0, which also runs the output checks, then rounds until
-// options.seconds have passed and enough() holds. A traced
-// run spends the first half untraced and the second half traced (the
-// benchmark's spans plus the program's obs::Tracer), reports
-// obs.trace_overhead_ratio (median traced over median untraced round) and
-// leaves the recorder on for the post-run probes; FinishTrace() closes it.
-// A run that cannot collect enough samples within the hard cap fails
-// rather than report an unresolved tail.
-void DriveRounds(const Options& options,
+// seconds), calling rebuild() before every round but the first, so that
+// every round runs the same work on a freshly built repository: round 0,
+// which also runs the output checks, then rounds until options.seconds
+// have passed and enough() holds. After round 0 a traced run alternates
+// untraced rounds with traced ones (the benchmark's spans plus the
+// program's obs::Tracer), reports obs.trace_overhead_ratio (median traced
+// over median untraced round) and leaves the recorder on for the post-run
+// probes; FinishTrace() closes it. A run that cannot collect enough
+// samples within the hard cap fails rather than report an unresolved tail.
+void DriveRounds(const Options& options, const std::function<void()>& rebuild,
                  const std::function<double(size_t)>& round,
                  const std::function<bool()>& enough, Outcome* out);
 
